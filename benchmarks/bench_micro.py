@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot paths (true pytest-benchmark timing).
 
 These complement the table/figure reproductions: they measure raw
-throughput of the greedy hitting-set solver, the two engines and the
-multicast forwarding so performance regressions are visible.
+throughput of the greedy hitting-set solver, the two engines (with a
+three-filter group and with the paper's eight-subscriber DC1 group) and
+the multicast forwarding so performance regressions are visible.
 
 ``BENCH_MICRO_TUPLES`` scales the engine/replay trace lengths (default
 1000) so CI smoke jobs can run tiny sizes just to catch perf-path
@@ -16,6 +17,7 @@ from repro.core.candidates import CandidateSet
 from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
 from repro.core.hitting_set import greedy_hitting_set
 from repro.core.tuples import StreamTuple
+from repro.experiments.configs import dc_specs_from_statistics
 from repro.filters.spec import parse_group
 from repro.net.multicast import ScribeMulticast
 from repro.net.overlay import OverlayNetwork
@@ -28,6 +30,11 @@ SPECS = [
 ]
 
 N_TUPLES = int(os.environ.get("BENCH_MICRO_TUPLES", "1000"))
+
+#: Section 4.3 DC1 recipe for eight subscribers (multipliers 1.0-2.5),
+#: the paper's group size: dozens of candidate sets are active per
+#: arrival, so region closure, not filtering, dominates the core.
+DC1_MULTIPLIERS = tuple(1.0 + 0.5 * (i % 4) for i in range(8))
 
 
 def _hitting_instance(n_sets=40, set_size=6, universe=120, seed=3):
@@ -58,6 +65,17 @@ def test_group_aware_engine_throughput(benchmark):
 
     def run():
         return GroupAwareEngine(parse_group(SPECS), algorithm="region").run(trace)
+
+    result = benchmark(run)
+    assert result.output_count > 0
+
+
+def test_group_aware_engine_eight_filters_throughput(benchmark):
+    trace = namos_trace(n=N_TUPLES, seed=7)
+    specs = dc_specs_from_statistics(trace, "fluoro", DC1_MULTIPLIERS)
+
+    def run():
+        return GroupAwareEngine(parse_group(specs), algorithm="region").run(trace)
 
     result = benchmark(run)
     assert result.output_count > 0

@@ -7,18 +7,24 @@ time covers do not intersect, and Theorems 2-3 show that solving the
 hitting-set problem per region preserves both optimality and the
 approximation ratio of heuristics.
 
-:class:`RegionTracker` detects region closure online.  A region is ready
-to be solved once every candidate set in its connected component is
-closed and no still-open candidate set can join the component.  Because
-tuples arrive in strict timestamp order, an open set can only extend to
-*later* timestamps, so a component whose sets are all closed and whose
-cover ends before the earliest open set's cover is final.
+:class:`RegionTracker` detects region closure online.  A connected
+component of candidate sets is emitted as a region once every set in it
+is closed, no open set's cover intersects it (touching endpoints count),
+and ``now`` has passed the end of its cover, since a tuple arriving at
+``now`` could still join it.  The rule applies to every component, not
+just the earliest: an all-closed component after an open set that does
+not touch it is emitted too.  A closed set never changes, so components
+made only of closed sets can merge but never split; the tracker keeps
+them as disjoint blocks sorted by cover start and, on each poll, checks
+them against the covers of the open sets only.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.core.candidates import CandidateSet, TimeCover, TupleInterner
@@ -26,6 +32,21 @@ from repro.core.candidates import CandidateSet, TimeCover, TupleInterner
 __all__ = ["Region", "RegionTracker"]
 
 _region_ids = itertools.count()
+_block_lo = itemgetter(0)
+_block_hi = itemgetter(1)
+
+
+def _connects(open_sets: list[CandidateSet], lo: float, hi: float) -> bool:
+    """Does any open set's cover intersect ``[lo, hi]``, endpoints included?
+
+    Covers are read lazily: the oldest open set, checked first, is
+    usually the one holding a block back.
+    """
+    for candidate_set in open_sets:
+        cover = candidate_set.time_cover
+        if cover is not None and cover.min_ts <= hi and lo <= cover.max_ts:
+            return True
+    return False
 
 
 @dataclass
@@ -66,14 +87,24 @@ class Region:
 class RegionTracker:
     """Online detection of closed regions.
 
-    Candidate sets register as soon as they hold at least one tuple, are
-    updated in place by their filters, and are marked closed by the
-    engine.  :meth:`poll` sweeps the active sets (sorted by cover start)
-    into connected components and returns every component that is final.
+    Candidate sets register as soon as they are created, are updated in
+    place by their filters, and are marked closed by the engine.  Each
+    :meth:`poll` moves the sets that closed since the previous poll into
+    the blocks of closed sets, merging any blocks a set connects, and
+    returns every block that is final (see the module docstring).
     """
 
     def __init__(self) -> None:
         self._active: dict[int, CandidateSet] = {}
+        #: Sets not yet in a block, by id, with their watch order: every
+        #: open set plus those closed since the last poll.
+        self._open: dict[int, tuple[int, CandidateSet]] = {}
+        #: Connected components of closed non-empty sets, as disjoint
+        #: ``[lo, hi, entries]`` sorted by ``lo``; an entry is
+        #: ``(cover start, watch order, set)``, the order regions list
+        #: their sets in.
+        self._blocks: list[list] = []
+        self._watch_order = itertools.count()
         self.regions_emitted = 0
         self.regions_cut = 0
 
@@ -81,10 +112,17 @@ class RegionTracker:
     # Registration
     # ------------------------------------------------------------------
     def watch(self, candidate_set: CandidateSet) -> None:
-        self._active[candidate_set.set_id] = candidate_set
+        set_id = candidate_set.set_id
+        if set_id not in self._active:
+            self._active[set_id] = candidate_set
+            self._open[set_id] = (next(self._watch_order), candidate_set)
 
     def discard(self, candidate_set: CandidateSet) -> None:
-        self._active.pop(candidate_set.set_id, None)
+        set_id = candidate_set.set_id
+        if self._active.pop(set_id, None) is None:
+            return
+        if self._open.pop(set_id, None) is None:
+            self._unblock(candidate_set)
 
     # ------------------------------------------------------------------
     # Queries used by the cut machinery
@@ -127,7 +165,7 @@ class RegionTracker:
         return len(seqs)
 
     def has_open_sets(self) -> bool:
-        return any(not s.closed for s in self._active.values() if len(s) > 0)
+        return any(not s.closed and len(s) > 0 for _, s in self._open.values())
 
     def contains_tuple(self, seq: int) -> bool:
         """Is ``seq`` still a member of any active set?
@@ -149,67 +187,98 @@ class RegionTracker:
         returned regions as produced by a timely cut, for the
         percent-of-regions-cut metric (Figure 4.11).
         """
-        # This sweep runs on *every* arrival and tick.  Covers are read
-        # once per set (they are cached on the set, but the property call
-        # itself shows up at this call rate), and when no populated set
-        # is closed there is nothing to emit — skip the sort and the
-        # component build entirely, which is the common case between
-        # set closures.
-        populated: list[tuple[CandidateSet, TimeCover]] = []
-        any_closed = False
-        stale: Optional[list[CandidateSet]] = None
-        for s in self._active.values():
-            if len(s) > 0:
-                populated.append((s, s.time_cover))  # type: ignore[arg-type]
-                any_closed = any_closed or s.closed
-            elif s.closed:
-                # Empty closed sets (all tuples dismissed) carry no
-                # information; purge them on every exit path so they
-                # never linger in the per-arrival scans.
-                if stale is None:
-                    stale = []
-                stale.append(s)
-        if stale:
-            for s in stale:
-                self.discard(s)
-        if not populated:
-            return []
-        if not any_closed:
-            return []
-        populated.sort(key=lambda pair: pair[1].min_ts)
-
-        components: list[list[tuple[CandidateSet, TimeCover]]] = []
-        current = [populated[0]]
-        current_max = populated[0][1].max_ts
-        for pair in populated[1:]:
-            cover = pair[1]
-            if cover.min_ts <= current_max:
-                current.append(pair)
-                if cover.max_ts > current_max:
-                    current_max = cover.max_ts
+        # This runs on every arrival and tick, so it touches only the
+        # open sets (at most one per filter in the engine) and the
+        # blocks whose cover ends before ``now``.
+        open_sets: list[CandidateSet] = []
+        newly_closed: Optional[list[tuple[int, CandidateSet]]] = None
+        for pair in self._open.values():
+            if pair[1].closed:
+                if newly_closed is None:
+                    newly_closed = []
+                newly_closed.append(pair)
             else:
-                components.append(current)
-                current = [pair]
-                current_max = cover.max_ts
-        components.append(current)
+                open_sets.append(pair[1])
+        if newly_closed:
+            for order, candidate_set in newly_closed:
+                del self._open[candidate_set.set_id]
+                cover = candidate_set.time_cover
+                if cover is not None:
+                    self._merge((cover.min_ts, order, candidate_set), cover.max_ts)
+                else:
+                    # Empty closed sets (all tuples dismissed) carry no
+                    # information.
+                    del self._active[candidate_set.set_id]
 
-        closed_regions: list[Region] = []
-        for component in components:
-            if not all(s.closed for s, _ in component):
+        # Blocks are sorted by end as well as start, so those ending
+        # before ``now`` come first.  A block reaching ``now`` waits,
+        # because a tuple arriving at ``now`` could still connect to it.
+        blocks = self._blocks
+        regions: list[Region] = []
+        kept: list[list] = []
+        ready = 0
+        for block in blocks:
+            lo, hi, entries = block
+            if hi >= now and not final:
+                break
+            ready += 1
+            if _connects(open_sets, lo, hi):
+                kept.append(block)
                 continue
-            component_max = max(cover.max_ts for _, cover in component)
-            if not final and component_max >= now:
-                # A tuple arriving right now could still connect; wait.
-                continue
-            sets = [s for s, _ in component]
-            region = Region(sets=sets, cut=cut or any(s.cut for s in sets))
-            closed_regions.append(region)
+            sets = [entry[2] for entry in sorted(entries)]
+            regions.append(Region(sets=sets, cut=cut or any(s.cut for s in sets)))
             for candidate_set in sets:
-                self.discard(candidate_set)
+                del self._active[candidate_set.set_id]
+        if not regions:
+            return regions
+        self._blocks = kept + blocks[ready:] if ready < len(blocks) else kept
 
-        self.regions_emitted += len(closed_regions)
-        self.regions_cut += sum(1 for region in closed_regions if region.cut)
-        return closed_regions
+        self.regions_emitted += len(regions)
+        self.regions_cut += sum(1 for region in regions if region.cut)
+        return regions
+
+    def _merge(self, entry: tuple[float, int, CandidateSet], hi: float) -> None:
+        """Add a closed set covering ``[entry[0], hi]`` to the blocks,
+        merging every block it connects."""
+        lo = entry[0]
+        blocks = self._blocks
+        # Arrivals are in timestamp order, so a set that just closed
+        # usually starts after every block or connects only the last.
+        if not blocks or blocks[-1][1] < lo:
+            blocks.append([lo, hi, [entry]])
+            return
+        last = blocks[-1]
+        if last[0] <= hi and (len(blocks) == 1 or blocks[-2][1] < lo):
+            if lo < last[0]:
+                last[0] = lo
+            if hi > last[1]:
+                last[1] = hi
+            last[2].append(entry)
+            return
+        # Blocks are disjoint and sorted, so their ends are sorted too:
+        # the connected ones are those ending at or after ``lo`` and
+        # starting at or before ``hi``, a contiguous run.
+        first = bisect_left(blocks, lo, key=_block_hi)
+        stop = bisect_right(blocks, hi, lo=first, key=_block_lo)
+        if first == stop:
+            blocks.insert(first, [lo, hi, [entry]])
+            return
+        entries = [entry]
+        for block in blocks[first:stop]:
+            entries.extend(block[2])
+        blocks[first:stop] = [
+            [min(lo, blocks[first][0]), max(hi, blocks[stop - 1][1]), entries]
+        ]
+
+    def _unblock(self, candidate_set: CandidateSet) -> None:
+        """Drop a discarded closed set, re-merging the rest of its block."""
+        for index, block in enumerate(self._blocks):
+            if any(entry[2] is candidate_set for entry in block[2]):
+                del self._blocks[index]
+                for entry in block[2]:
+                    if entry[2] is not candidate_set:
+                        self._merge(entry, entry[2].time_cover.max_ts)
+                return
 
     @staticmethod
     def partition(sets: Iterable[CandidateSet]) -> list[list[CandidateSet]]:

@@ -45,6 +45,7 @@ import asyncio
 import json
 import os
 import random
+import signal
 import sys
 import time
 from collections import deque
@@ -83,6 +84,9 @@ _FINAL_REASONS = frozenset(
 
 _SID_ROUTER_FORWARD = stage_id(STAGE_ROUTER_FORWARD)
 _SID_ROUTER_REASSEMBLY = stage_id(STAGE_ROUTER_REASSEMBLY)
+
+#: ``prctl`` option from ``<linux/prctl.h>``.
+_PR_SET_PDEATHSIG = 1
 
 
 @dataclass(frozen=True)
@@ -536,6 +540,30 @@ class _Worker:
         self.metrics_cache: Optional[tuple[float, str]] = None
 
 
+def _exit_with_parent():
+    """A ``preexec_fn`` that gets a worker SIGTERMed when its router dies.
+
+    Linux only (``prctl(PR_SET_PDEATHSIG)``); elsewhere ``None``.  Without
+    it a SIGKILLed router leaves its workers running, holding their ports
+    and memory.  The death signal is tied to the forking thread, which is
+    the router's event-loop thread.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    import ctypes
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    router = os.getpid()
+
+    def preexec() -> None:
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+        if os.getppid() != router:
+            # The router died before the signal was armed.
+            os._exit(1)
+
+    return preexec
+
+
 class ClusterService:
     """Front-tier router over N worker broker processes.
 
@@ -850,6 +878,7 @@ class ClusterService:
             # retired sessions; the default 64 KiB readline limit would
             # kill the drain task on a churn-heavy worker.
             limit=1 << 23,
+            preexec_fn=_exit_with_parent(),
         )
         worker.process = process
         worker.terminal_snapshot = None

@@ -11,6 +11,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.core.tuples import StreamTuple
 from repro.transport import GatewayClient
 
@@ -128,3 +130,52 @@ def test_sigint_terminal_snapshot_without_clients():
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=10)
+
+
+def _children(pid: int) -> list[int]:
+    """Live child pids of ``pid``, from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _stat(int(entry))[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+def _stat(pid: int) -> tuple[str, int]:
+    """``(state, ppid)`` of ``pid``; ``("X", 0)`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return "X", 0
+    return fields[0], int(fields[1])
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="parent-death signal is Linux-only"
+)
+def test_workers_exit_when_router_is_sigkilled():
+    proc, _port, _ = _start_serve("--workers", "2")
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers = _children(proc.pid)
+            time.sleep(0.05)
+        assert len(workers) == 2, workers
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        alive = workers
+        while alive and time.monotonic() < deadline:
+            # A zombie awaiting its new parent's reap has exited.
+            alive = [pid for pid in workers if _stat(pid)[0] not in ("X", "Z")]
+            time.sleep(0.05)
+        assert alive == [], f"workers outlived their router: {alive}"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=10)
+        for pid in workers:
+            if _stat(pid)[0] not in ("X", "Z"):
+                os.kill(pid, signal.SIGKILL)
