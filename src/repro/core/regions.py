@@ -231,7 +231,7 @@ class RegionTracker:
                 del self._active[candidate_set.set_id]
         if not regions:
             return regions
-        self._blocks = kept + blocks[ready:] if ready < len(blocks) else kept
+        self._blocks = kept + blocks[ready:]
 
         self.regions_emitted += len(regions)
         self.regions_cut += sum(1 for region in regions if region.cut)
